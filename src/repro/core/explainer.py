@@ -355,6 +355,7 @@ class Explainer:
                     self.attributes,
                     universal=self.universal,
                     strategy=self.resolve_strategy(),
+                    support_threshold=self.support_threshold,
                 ).build_table()
             else:
                 m = self._naive_table(exact=True)

@@ -23,12 +23,16 @@ evaluation schedule reaches the same least fixpoint.  This module
 offers two interchangeable schedules behind the
 :class:`InterventionStrategy` protocol:
 
-* :class:`FixpointStrategy` — naive simultaneous evaluation: apply all
+* :class:`FixpointStrategy` — naive simultaneous evaluation (apply all
   rules to Δ^t, union the results into Δ^{t+1}, stop when nothing
-  changes.  Its iteration counter matches the convergence statements
-  of Propositions 3.4, 3.5, 3.10 and 3.11 and the n−1 lower bound of
-  Example 3.7.  (:data:`InterventionEngine` remains an alias for
-  backward compatibility.)
+  changes), computed as a layered worklist over support counts built
+  once per strategy: each layer is one iteration, and costs what it
+  deletes instead of a pass over D.  Its iteration counter matches the
+  convergence statements of Propositions 3.4, 3.5, 3.10 and 3.11 and
+  the n−1 lower bound of Example 3.7.  (:data:`InterventionEngine`
+  remains an alias for backward compatibility.)  The literal
+  whole-database loop survives as the test oracle
+  :func:`naive_fixpoint`.
 * :class:`ClosureStrategy` — probes the precomputed FK cascade closure
   index (:mod:`repro.engine.closure`): Δ^φ is the union of the seeds'
   transitive deletion closures plus a bounded semijoin repair loop.
@@ -47,12 +51,26 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Protocol, Set, Tuple
+from operator import itemgetter
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Protocol,
+    Set,
+    Tuple,
+)
 
 from ..engine.closure import ClosureIndex
 from ..engine.database import Database, Delta
 from ..engine.reduction import RowSets, is_semijoin_reduced, reduce_row_sets
-from ..engine.schema import DatabaseSchema, ForeignKey
+from ..engine.schema import DatabaseSchema
 from ..engine.table import Table
 from ..engine.types import Row
 from ..engine.universal import JoinTree, universal_table
@@ -177,7 +195,6 @@ class _StrategyBase:
             if universal is not None
             else universal_table(database, self.join_tree)
         )
-        self._bf_keys: Tuple[ForeignKey, ...] = self.schema.back_and_forth_keys
         #: When set (by the static analyzer), every run asserts that
         #: its productive iteration count stays within this bound;
         #: a violation raises AnalysisInvariantError (analyzer bug).
@@ -239,48 +256,192 @@ class _StrategyBase:
             )
 
 
+class _Side(NamedTuple):
+    """One side of one foreign-key edge, seen from the relation R on it."""
+
+    #: R's join key on the edge.
+    key: Callable[[Row], Hashable]
+    #: The number of counted R tuples per key value.
+    counts: Dict[Hashable, int]
+    #: The index of this side's decrement overlay.
+    slot: int
+    #: The relation on the other side, and its tuples per key value.
+    partner: str
+    partners: Dict[Hashable, List[Row]]
+
+
+def _group(
+    rows: FrozenSet[Row], key: Callable[[Row], Hashable]
+) -> Dict[Hashable, List[Row]]:
+    index: Dict[Hashable, List[Row]] = {}
+    for row in rows:
+        index.setdefault(key(row), []).append(row)
+    return index
+
+
+def _absorb(
+    deleted: Dict[str, Set[Row]], new: Mapping[str, AbstractSet[Row]]
+) -> int:
+    """Add *new* to *deleted*; returns how many tuples were not there."""
+    added = 0
+    for name, rows in new.items():
+        fresh = rows - deleted[name]
+        added += len(fresh)
+        deleted[name].update(fresh)
+    return added
+
+
+class _SupportCounts:
+    """Program P's support counts over one database, built once.
+
+    For every foreign-key edge (join-tree and residual) and each of its
+    two sides: the number of tuples on that side per join-key value,
+    and a join-key → tuples index.  A tuple keeps its support on an
+    edge while the other side still counts a tuple with its key, so a
+    residual is semijoin-reduced exactly when no counted tuple depends
+    on a zero count: Rule (ii) is the counting algorithm of view
+    maintenance.  Construction cascades the zero counts of ``D`` itself
+    and keeps what that removed as ``dangling`` — the tuples Rule (ii)
+    deletes in the first iteration.  The stored counts then describe
+    ``reduce(D)``; each run of program P decrements a private overlay
+    of them (:meth:`overlays`), so a run costs what it deletes.
+    """
+
+    def __init__(self, database: Database) -> None:
+        schema = database.schema
+        names = schema.relation_names
+        self.rows: Dict[str, FrozenSet[Row]] = {
+            name: database.relation(name).rows() for name in names
+        }
+        self.sides: Dict[str, List[_Side]] = {name: [] for name in names}
+        #: Rule (iii) probes, one per back-and-forth key: ``(source,
+        #: source key, target, target tuples per key)``.
+        self.backward_keys: List[
+            Tuple[str, Callable[[Row], Hashable], str, Dict[Hashable, List[Row]]]
+        ] = []
+        self.slots = 0
+        for fk in schema.foreign_keys:
+            keys = (
+                itemgetter(*schema.relation(fk.source).indexes_of(fk.source_attrs)),
+                itemgetter(*schema.relation(fk.target).indexes_of(fk.target_attrs)),
+            )
+            ends = (fk.source, fk.target)
+            groups = [_group(self.rows[end], key) for end, key in zip(ends, keys)]
+            for this, other in ((0, 1), (1, 0)):
+                counts = {k: len(rows) for k, rows in groups[this].items()}
+                self.sides[ends[this]].append(
+                    _Side(keys[this], counts, self.slots, ends[other], groups[other])
+                )
+                self.slots += 1
+            if fk.back_and_forth:
+                self.backward_keys.append((fk.source, keys[0], fk.target, groups[1]))
+
+        dangling: Dict[str, Set[Row]] = {name: set() for name in names}
+        stack = [
+            (name, row)
+            for name, sides in self.sides.items()
+            for row in self.rows[name]
+            if any(side.key(row) not in side.partners for side in sides)
+        ]
+        for name, row in stack:
+            dangling[name].add(row)
+        overlays = self.overlays()
+        self.cascade(stack, dangling, overlays)
+        for sides in self.sides.values():
+            for side in sides:
+                for k, d in overlays[side.slot].items():
+                    side.counts[k] -= d
+        self.dangling: Dict[str, FrozenSet[Row]] = {
+            name: frozenset(rows) for name, rows in dangling.items()
+        }
+
+    def overlays(self) -> List[Dict[Hashable, int]]:
+        """Fresh per-run decrements, one dict per side of every edge."""
+        return [{} for _ in range(self.slots)]
+
+    def counted(self, name: str, row: Row) -> bool:
+        """True iff *row* is a tuple of ``reduce(D)`` (it has counts)."""
+        return row in self.rows[name] and row not in self.dangling[name]
+
+    def cascade(
+        self,
+        stack: List[Tuple[str, Row]],
+        deleted: Dict[str, Set[Row]],
+        overlays: List[Dict[Hashable, int]],
+    ) -> Dict[str, Set[Row]]:
+        """Rule (ii): withdraw the support of the tuples on *stack*.
+
+        The stacked tuples are already in *deleted*.  Every count that
+        drops to zero deletes the tuples on the other side of its edge
+        that carry its key, and withdraws their support in turn.
+        Returns the tuples this deleted, which are added to *deleted*.
+        """
+        found: Dict[str, Set[Row]] = {name: set() for name in deleted}
+        sides = self.sides
+        while stack:
+            name, row = stack.pop()
+            for key, counts, slot, partner, partners in sides[name]:
+                k = key(row)
+                overlay = overlays[slot]
+                gone = overlay.get(k, 0) + 1
+                overlay[k] = gone
+                if gone != counts[k]:
+                    continue
+                dead = deleted[partner]
+                new = found[partner]
+                for other in partners.get(k, ()):
+                    if other not in dead:
+                        dead.add(other)
+                        new.add(other)
+                        stack.append((partner, other))
+        return found
+
+    def backward(
+        self, fresh: Mapping[str, AbstractSet[Row]], deleted: Dict[str, Set[Row]]
+    ) -> Dict[str, Set[Row]]:
+        """Rule (iii): the targets of the newly deleted source tuples.
+
+        Returns the targets not yet in *deleted*, and adds them to it.
+        """
+        found: Dict[str, Set[Row]] = {name: set() for name in deleted}
+        for source, key, target, targets in self.backward_keys:
+            dead = deleted[target]
+            new = found[target]
+            for row in fresh.get(source, ()):
+                for other in targets.get(key(row), ()):
+                    if other not in dead:
+                        dead.add(other)
+                        new.add(other)
+        return found
+
+
 class FixpointStrategy(_StrategyBase):
-    """The baseline naive-simultaneous fixpoint schedule."""
+    """Program P's naive-simultaneous schedule, computed by counting.
+
+    Each layer of the worklist is one iteration of naive simultaneous
+    evaluation (:func:`naive_fixpoint`): it first applies the support
+    decrements the previous layer deferred — its Rule (i) seeds and
+    Rule (iii) targets — and cascades "count hits zero → delete", which
+    is Rule (ii) over ``D − Δ^{t−1}``; it then probes the back-and-forth
+    indexes with the previous layer's new tuples only, which is
+    Rule (iii) over ``Δ^{t−1}``.  Δ^φ, ``iterations`` and the trace are
+    therefore those of the naive schedule, at a per-layer cost
+    proportional to what the layer deletes rather than to |D|.
+    """
 
     name = "fixpoint"
 
-    # -- Rules (ii) and (iii) ----------------------------------------------
+    _support: Optional[_SupportCounts] = None
 
-    def _rule_reduce(self, residual: RowSets) -> Dict[str, Set[Row]]:
-        """Rule (ii): tuples dropped by semijoin-reducing the residual."""
-        probe = {name: set(rows) for name, rows in residual.items()}
-        reduce_row_sets(self.schema, probe, self.join_tree)
-        return {
-            name: residual[name] - probe[name] for name in residual
-        }
+    def _support_counts(self) -> _SupportCounts:
+        """The support counts (built on first use, then reused).
 
-    def _rule_backward(
-        self, deleted: Dict[str, Set[Row]]
-    ) -> Dict[str, Set[Row]]:
-        """Rule (iii): backward cascade along back-and-forth FKs.
-
-        For ``R_j.fk ↔ R_i.pk``: every R_i tuple whose primary key is
-        referenced by a *deleted* R_j tuple must be deleted.
+        Like the universal table, they describe the database as it was
+        when first needed; build a new strategy after a mutation.
         """
-        found: Dict[str, Set[Row]] = {
-            name: set() for name in self.schema.relation_names
-        }
-        for fk in self._bf_keys:
-            source_schema = self.schema.relation(fk.source)
-            target_rel = self.database.relation(fk.target)
-            src_pos = source_schema.indexes_of(fk.source_attrs)
-            referenced = {
-                tuple(row[i] for i in src_pos) for row in deleted[fk.source]
-            }
-            if not referenced:
-                continue
-            tgt_pos = target_rel.schema.indexes_of(fk.target_attrs)
-            for row in target_rel:
-                if tuple(row[i] for i in tgt_pos) in referenced:
-                    found[fk.target].add(row)
-        return found
-
-    # -- fixpoint loop -------------------------------------------------------
+        if self._support is None:
+            self._support = _SupportCounts(self.database)
+        return self._support
 
     def compute(
         self,
@@ -304,33 +465,20 @@ class FixpointStrategy(_StrategyBase):
             if max_iterations is not None
             else self.database.total_rows() + 2
         )
+        if seeds is None:
+            seeds = self.seed_delta(phi)
+        support = self._support_counts()
+        overlays = support.overlays()
         deleted: Dict[str, Set[Row]] = {
             name: set() for name in self.schema.relation_names
         }
-        all_rows: Dict[str, FrozenSet[Row]] = {
-            name: self.database.relation(name).rows()
-            for name in self.schema.relation_names
-        }
-
-        if seeds is None:
-            seeds = self.seed_delta(phi)
+        # Deleted in the previous layer, support not yet withdrawn.
+        deferred: List[Tuple[str, Row]] = []
+        # Everything the previous layer deleted (Rule (iii) probes).
+        fresh: Mapping[str, AbstractSet[Row]] = {}
         trace: List[IterationTrace] = []
         iteration = 0
         _strategy_counter(self.name)
-
-        def residual() -> RowSets:
-            return {
-                name: set(all_rows[name]) - deleted[name]
-                for name in all_rows
-            }
-
-        def absorb(new: Dict[str, Set[Row]]) -> int:
-            added = 0
-            for name, rows in new.items():
-                fresh = rows - deleted[name]
-                added += len(fresh)
-                deleted[name].update(fresh)
-            return added
 
         with phase("program_p") as run_ph:
             while True:
@@ -342,31 +490,42 @@ class FixpointStrategy(_StrategyBase):
                     )
                 with phase("program_p.iteration") as iter_ph:
                     new_by_rule: Dict[str, int] = {}
-                    # Rules (ii) and (iii) evaluate against the Δ of
-                    # the *previous* iteration (naive simultaneous
-                    # semantics): take snapshots before absorbing any
-                    # rule's output, including the seeds — in iteration
-                    # 1 rules (ii)/(iii) see Δ⁰ = ∅, which is the
-                    # counting used by Example 3.7 / Prop 3.5.
-                    snapshot_residual = residual()
-                    snapshot_deleted = {
-                        name: set(rows) for name, rows in deleted.items()
-                    }
                     if iteration == 1:
-                        new_by_rule["seed"] = absorb(
-                            {
-                                name: set(rows)
-                                for name, rows in seeds.parts().items()
-                            }
+                        # Rule (ii) over D deletes the dangling tuples,
+                        # which the counts already exclude.
+                        seeded = seeds.parts()
+                        new_by_rule["seed"] = _absorb(deleted, seeded)
+                        new_by_rule["reduce"] = _absorb(
+                            deleted, support.dangling
                         )
-                    reduce_new = self._rule_reduce(snapshot_residual)
-                    backward_new = self._rule_backward(snapshot_deleted)
-                    new_by_rule["reduce"] = absorb(reduce_new)
-                    new_by_rule["backward"] = absorb(backward_new)
+                        new_by_rule["backward"] = 0
+                        deferred = [
+                            (name, row)
+                            for name, rows in seeded.items()
+                            for row in rows
+                            if support.counted(name, row)
+                        ]
+                        fresh = {
+                            name: set(rows) for name, rows in deleted.items()
+                        }
+                    else:
+                        reduced = support.cascade(deferred, deleted, overlays)
+                        backward = support.backward(fresh, deleted)
+                        new_by_rule["reduce"] = sum(map(len, reduced.values()))
+                        new_by_rule["backward"] = sum(
+                            map(len, backward.values())
+                        )
+                        deferred = [
+                            (name, row)
+                            for name, rows in backward.items()
+                            for row in rows
+                        ]
+                        fresh = {
+                            name: reduced[name] | backward[name]
+                            for name in deleted
+                        }
                     total_new = sum(new_by_rule.values())
-                    delta_size = sum(
-                        len(rows) for rows in deleted.values()
-                    )
+                    delta_size = sum(len(rows) for rows in deleted.values())
                     iter_ph.annotate(
                         iteration=iteration,
                         seed=new_by_rule.get("seed", 0),
@@ -567,6 +726,158 @@ def compute_intervention(
     return make_strategy(
         database, strategy=strategy, universal=universal
     ).compute(phi)
+
+
+# -- test oracle ------------------------------------------------------------
+
+
+def _naive_reduce(
+    strategy: _StrategyBase, residual: RowSets
+) -> Dict[str, Set[Row]]:
+    """Rule (ii): tuples dropped by semijoin-reducing the residual."""
+    probe = {name: set(rows) for name, rows in residual.items()}
+    reduce_row_sets(strategy.schema, probe, strategy.join_tree)
+    return {
+        name: residual[name] - probe[name] for name in residual
+    }
+
+
+def _naive_backward(
+    strategy: _StrategyBase, deleted: Dict[str, Set[Row]]
+) -> Dict[str, Set[Row]]:
+    """Rule (iii): backward cascade along back-and-forth FKs.
+
+    For ``R_j.fk ↔ R_i.pk``: every R_i tuple whose primary key is
+    referenced by a *deleted* R_j tuple must be deleted.
+    """
+    schema = strategy.schema
+    found: Dict[str, Set[Row]] = {
+        name: set() for name in schema.relation_names
+    }
+    for fk in schema.back_and_forth_keys:
+        source_schema = schema.relation(fk.source)
+        target_rel = strategy.database.relation(fk.target)
+        src_pos = source_schema.indexes_of(fk.source_attrs)
+        referenced = {
+            tuple(row[i] for i in src_pos) for row in deleted[fk.source]
+        }
+        if not referenced:
+            continue
+        tgt_pos = target_rel.schema.indexes_of(fk.target_attrs)
+        for row in target_rel:
+            if tuple(row[i] for i in tgt_pos) in referenced:
+                found[fk.target].add(row)
+    return found
+
+
+def naive_fixpoint(
+    strategy: _StrategyBase,
+    phi: Predicate,
+    *,
+    max_iterations: Optional[int] = None,
+    seeds: Optional[Delta] = None,
+) -> InterventionResult:
+    """Program **P** by literal naive simultaneous evaluation (oracle).
+
+    Every iteration applies all three rules to Δ^{t−1} and unions the
+    results into Δ^t: Rule (ii) semijoin-reduces a copy of the whole
+    residual ``D − Δ^{t−1}`` and Rule (iii) scans every back-and-forth
+    target relation, so an iteration costs O(|D|) however little it
+    deletes.  Quarantined as the test oracle that
+    :class:`FixpointStrategy` is pinned against (same Δ^φ,
+    ``iterations`` and trace), and as the Θ(n) baseline of the closure
+    speedup benchmark.  *strategy* supplies the database, join tree,
+    Rule (i) and the certified bound.
+    """
+    budget = (
+        max_iterations
+        if max_iterations is not None
+        else strategy.database.total_rows() + 2
+    )
+    deleted: Dict[str, Set[Row]] = {
+        name: set() for name in strategy.schema.relation_names
+    }
+    all_rows: Dict[str, FrozenSet[Row]] = {
+        name: strategy.database.relation(name).rows()
+        for name in strategy.schema.relation_names
+    }
+
+    if seeds is None:
+        seeds = strategy.seed_delta(phi)
+    trace: List[IterationTrace] = []
+    iteration = 0
+
+    def residual() -> RowSets:
+        return {
+            name: set(all_rows[name]) - deleted[name]
+            for name in all_rows
+        }
+
+    with phase("program_p") as run_ph:
+        while True:
+            iteration += 1
+            if iteration > budget:
+                raise ConvergenceError(
+                    f"program P exceeded {budget} iterations; "
+                    "this is a bug"
+                )
+            with phase("program_p.iteration") as iter_ph:
+                new_by_rule: Dict[str, int] = {}
+                # Rules (ii) and (iii) evaluate against the Δ of
+                # the *previous* iteration (naive simultaneous
+                # semantics): take snapshots before absorbing any
+                # rule's output, including the seeds — in iteration
+                # 1 rules (ii)/(iii) see Δ⁰ = ∅, which is the
+                # counting used by Example 3.7 / Prop 3.5.
+                snapshot_residual = residual()
+                snapshot_deleted = {
+                    name: set(rows) for name, rows in deleted.items()
+                }
+                if iteration == 1:
+                    new_by_rule["seed"] = _absorb(
+                        deleted,
+                        {
+                            name: set(rows)
+                            for name, rows in seeds.parts().items()
+                        },
+                    )
+                reduce_new = _naive_reduce(strategy, snapshot_residual)
+                backward_new = _naive_backward(strategy, snapshot_deleted)
+                new_by_rule["reduce"] = _absorb(deleted, reduce_new)
+                new_by_rule["backward"] = _absorb(deleted, backward_new)
+                total_new = sum(new_by_rule.values())
+                delta_size = sum(
+                    len(rows) for rows in deleted.values()
+                )
+                iter_ph.annotate(
+                    iteration=iteration,
+                    seed=new_by_rule.get("seed", 0),
+                    reduce=new_by_rule["reduce"],
+                    backward=new_by_rule["backward"],
+                    delta_size=delta_size,
+                )
+            if total_new == 0:
+                # Quiescent iteration: not counted as productive.
+                iteration -= 1
+                break
+            trace.append(
+                IterationTrace(
+                    iteration,
+                    {k: v for k, v in new_by_rule.items() if v},
+                    delta_size,
+                )
+            )
+        run_ph.annotate(
+            iterations=iteration, certified_bound=strategy.certified_bound
+        )
+
+    strategy._assert_certified(iteration)
+    return InterventionResult(
+        delta=Delta(strategy.schema, deleted),
+        seeds=seeds,
+        iterations=iteration,
+        trace=tuple(trace),
+    )
 
 
 # -- validity checking (Definition 2.6) ------------------------------------

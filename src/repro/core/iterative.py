@@ -11,12 +11,15 @@ explanation, sharing work across candidates:
 * per relevant attribute, a **posting list** maps each value to the
   ids of the universal rows carrying it, so ``σ_φ(U)`` is a set
   intersection, not a scan;
-* per relation, each tuple's total occurrence count in U is
-  precomputed, so Rule (i) seeds (``tuples all of whose rows satisfy
-  φ``) come from counting occurrences inside ``σ_φ(U)`` only;
+* per relation, each tuple's universal row ids are precomputed, so
+  Rule (i) seeds (``tuples all of whose rows satisfy φ``) come from
+  counting occurrences inside ``σ_φ(U)`` only, and the tuples with no
+  universal row (seeded for every φ) are found once;
 * ``Q(D − Δ^φ)`` is evaluated by row survival (a universal row
-  survives iff none of its projections were deleted) against
-  precomputed per-aggregate row-id sets — no joins are re-run.
+  survives iff none of its projections were deleted): the rows of the
+  deleted tuples are subtracted from precomputed per-aggregate
+  row-id sets and value counts, so the cost follows |Δ^φ|, not |U| —
+  no joins are re-run.
 
 The candidate set equals the cube algorithm's (every combination of
 attribute values with support), so the output table is directly
@@ -26,7 +29,18 @@ additive queries) and the per-candidate exact evaluator.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from collections import Counter
+from typing import (
+    AbstractSet,
+    Any,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..engine.cube import grouping_sets
 from ..engine.database import Database, Delta
@@ -44,10 +58,11 @@ from .question import UserQuestion
 class IndexedInterventionEvaluator:
     """Exact degrees for all candidate explanations over ``attributes``.
 
-    Usable for any numerical query (additive or not); asymptotically
-    the per-candidate cost is dominated by the fixpoint and the
-    survival scan, with the σ_φ(U) and seed computations reduced from
-    full scans to posting-list work.
+    Usable for any numerical query (additive or not).  Per candidate,
+    σ_φ(U) and the seeds are posting-list work and program P and the
+    survival count cost what Δ^φ deletes.  ``support_threshold`` drops
+    every non-trivial candidate none of whose aggravation values
+    ``q_j(D_φ)`` reaches it, as the naive evaluator does.
     """
 
     def __init__(
@@ -58,10 +73,12 @@ class IndexedInterventionEvaluator:
         *,
         universal: Optional[Table] = None,
         strategy: Optional[str] = None,
+        support_threshold: Optional[float] = None,
     ) -> None:
         self.database = database
         self.question = question
         self.attributes = tuple(attributes)
+        self.support_threshold = support_threshold
         self.join_tree = JoinTree(database.schema)
         self.universal = (
             universal
@@ -110,10 +127,12 @@ class IndexedInterventionEvaluator:
             self.postings[attr] = lists
 
     def _build_projection_cache(self) -> None:
-        """Per relation: row id -> tuple, and tuple -> total U count."""
+        """Per relation: row id -> tuple, tuple -> row ids, and the
+        tuples with no universal row."""
         schema = self.database.schema
         self.row_tuples: Dict[str, List[Row]] = {}
-        self.tuple_counts: Dict[str, Dict[Row, int]] = {}
+        self.tuple_rows: Dict[str, Dict[Row, List[int]]] = {}
+        self.unmatched: Dict[str, FrozenSet[Row]] = {}
         for name in schema.relation_names:
             rs = schema.relation(name)
             cols = [
@@ -121,18 +140,23 @@ class IndexedInterventionEvaluator:
                 for a in rs.attribute_names
             ]
             projected = list(zip(*cols)) if cols else [()] * self._n
-            counts: Dict[Row, int] = {}
-            for t in projected:
-                counts[t] = counts.get(t, 0) + 1
+            rows_of: Dict[Row, List[int]] = {}
+            for idx, t in enumerate(projected):
+                rows_of.setdefault(t, []).append(idx)
             self.row_tuples[name] = projected
-            self.tuple_counts[name] = counts
+            self.tuple_rows[name] = rows_of
+            self.unmatched[name] = frozenset(
+                t for t in self.database.relation(name).rows() if t not in rows_of
+            )
 
     def _build_aggregate_indexes(self) -> None:
-        """Per aggregate: its WHERE row-id set and argument column."""
+        """Per aggregate: its WHERE row-id set, its argument column and
+        the multiplicity of each non-null argument value in that set."""
         from ..engine.expressions import compile_predicate
 
         self.agg_rows: Dict[str, FrozenSet[int]] = {}
         self.agg_arg_col: Dict[str, Optional[List[Value]]] = {}
+        self.agg_value_counts: Dict[str, Counter[Value]] = {}
         for q in self.question.query.aggregates:
             if q.where is None:
                 ids: FrozenSet[int] = frozenset(range(self._n))
@@ -156,9 +180,9 @@ class IndexedInterventionEvaluator:
             if q.aggregate.argument is None:
                 self.agg_arg_col[q.name] = None
             else:
-                self.agg_arg_col[q.name] = self.universal.column(
-                    q.aggregate.argument
-                )
+                arg_col = self.universal.column(q.aggregate.argument)
+                self.agg_arg_col[q.name] = arg_col
+                self.agg_value_counts[q.name] = _value_counts(arg_col, ids)
 
     # -- per-candidate machinery --------------------------------------------
 
@@ -186,20 +210,22 @@ class IndexedInterventionEvaluator:
         """
         parts: Dict[str, Set[Row]] = {}
         for name in self.database.schema.relation_names:
-            inside: Dict[Row, int] = {}
             projected = self.row_tuples[name]
-            for idx in phi_rows:
-                t = projected[idx]
-                inside[t] = inside.get(t, 0) + 1
-            counts = self.tuple_counts[name]
-            seeded = {t for t, c in inside.items() if c == counts[t]}
-            seeded.update(
-                t
-                for t in self.database.relation(name).rows()
-                if t not in counts
-            )
+            inside = Counter(projected[idx] for idx in phi_rows)
+            rows_of = self.tuple_rows[name]
+            seeded = {t for t, c in inside.items() if c == len(rows_of[t])}
+            seeded.update(self.unmatched[name])
             parts[name] = seeded
         return Delta(self.database.schema, parts)
+
+    def dead_row_ids(self, delta: Delta) -> Set[int]:
+        """U rows that project onto a tuple of Δ."""
+        dead: Set[int] = set()
+        for name in self.database.schema.relation_names:
+            rows_of = self.tuple_rows[name]
+            for t in delta.rows_for(name):
+                dead.update(rows_of.get(t, ()))
+        return dead
 
     def surviving_row_ids(self, delta: Delta) -> Set[int]:
         """U rows whose projections all survive ``D − Δ``.
@@ -207,48 +233,52 @@ class IndexedInterventionEvaluator:
         By construction of program P (closure + reduction) these are
         exactly the rows of ``U(D − Δ^φ)``.
         """
-        deleted_sets = {
-            name: delta.rows_for(name)
-            for name in self.database.schema.relation_names
-            if delta.rows_for(name)
-        }
-        if not deleted_sets:
-            return set(range(self._n))
-        survivors: Set[int] = set()
-        for idx in range(self._n):
-            dead = False
-            for name, deleted in deleted_sets.items():
-                if self.row_tuples[name][idx] in deleted:
-                    dead = True
-                    break
-            if not dead:
-                survivors.add(idx)
-        return survivors
+        return set(range(self._n)) - self.dead_row_ids(delta)
 
     def _aggregate_over(self, q: AggregateQuery, row_ids: Set[int]) -> Value:
         relevant = self.agg_rows[q.name] & row_ids
-        kind = q.aggregate.kind
+        kind = _check_supported(q)
         if kind in ("count_star", "count"):
             return len(relevant)
         arg_col = self.agg_arg_col[q.name]
         assert arg_col is not None
-        values = {
-            arg_col[idx] for idx in relevant if not is_null(arg_col[idx])
-        }
-        if kind == "count_distinct":
-            return len(values)
-        raise QueryError(
-            f"indexed evaluator supports count aggregates, not {kind!r}"
-        )
+        return len(_value_counts(arg_col, relevant))
 
-    def degrees_for(self, assignment: Dict[str, Value]) -> Tuple[Value, Value, Dict[str, Value]]:
-        """(μ_interv, μ_aggr, q_j(D_φ) values) for one candidate."""
-        query = self.question.query
-        phi_rows = self.phi_row_ids(assignment)
-        aggr_values = {
+    def _aggregate_without(self, q: AggregateQuery, dead: Set[int]) -> Value:
+        """The aggregate over every U row except *dead*."""
+        rows = self.agg_rows[q.name]
+        removed = rows & dead
+        kind = _check_supported(q)
+        if kind in ("count_star", "count"):
+            return len(rows) - len(removed)
+        arg_col = self.agg_arg_col[q.name]
+        assert arg_col is not None
+        counts = self.agg_value_counts[q.name]
+        gone = sum(
+            1
+            for value, c in _value_counts(arg_col, removed).items()
+            if c == counts[value]
+        )
+        return len(counts) - gone
+
+    def aggravation_values(
+        self, phi_rows: Set[int]
+    ) -> Dict[str, Value]:
+        """``q_j(D_φ)`` for every aggregate, over σ_φ(U) as row ids."""
+        return {
             q.name: self._aggregate_over(q, phi_rows)
-            for q in query.aggregates
+            for q in self.question.query.aggregates
         }
+
+    def degrees_for(
+        self,
+        assignment: Dict[str, Value],
+        phi_rows: Set[int],
+        aggr_values: Dict[str, Value],
+    ) -> Tuple[Value, Value]:
+        """(μ_interv, μ_aggr) for one candidate, given its σ_φ(U) row
+        ids and :meth:`aggravation_values`."""
+        query = self.question.query
         mu_a = query.evaluate_environment(aggr_values)
         if not is_null(mu_a):
             mu_a = self.question.aggravation_sign * mu_a
@@ -258,15 +288,26 @@ class IndexedInterventionEvaluator:
         phi = Explanation.equality(self.database.schema, assignment)
         seeds = self.seeds_from_rows(phi_rows)
         delta = self.engine.compute(phi, seeds=seeds).delta
-        survivors = self.surviving_row_ids(delta)
+        dead = self.dead_row_ids(delta)
         interv_values = {
-            q.name: self._aggregate_over(q, survivors)
+            q.name: self._aggregate_without(q, dead)
             for q in query.aggregates
         }
         mu_i = query.evaluate_environment(interv_values)
         if not is_null(mu_i):
             mu_i = self.question.intervention_sign * mu_i
-        return mu_i, mu_a, aggr_values
+        return mu_i, mu_a
+
+    def _supported(self, aggr_values: Dict[str, Value]) -> bool:
+        """The naive evaluator's support filter for a non-trivial φ
+        (the values here are counts, never NULL)."""
+        threshold = self.support_threshold
+        if threshold is None:
+            return True
+        return any(
+            isinstance(v, (int, float)) and v >= threshold
+            for v in aggr_values.values()
+        )
 
     # -- the full table --------------------------------------------------------
 
@@ -301,7 +342,11 @@ class IndexedInterventionEvaluator:
             "indexed_table", certified_bound=self.convergence.bound
         ) as ph:
             for assignment in self.candidate_assignments():
-                mu_i, mu_a, aggr_values = self.degrees_for(assignment)
+                phi_rows = self.phi_row_ids(assignment)
+                aggr_values = self.aggravation_values(phi_rows)
+                if assignment and not self._supported(aggr_values):
+                    continue
+                mu_i, mu_a = self.degrees_for(assignment, phi_rows, aggr_values)
                 attr_values = tuple(
                     assignment.get(attr, DUMMY) for attr in self.attributes
                 )
@@ -327,3 +372,18 @@ def _cell_key(
     from ..engine.types import sort_key
 
     return (len(cell), tuple((a, sort_key(v)) for a, v in cell))
+
+
+def _check_supported(q: AggregateQuery) -> str:
+    kind = q.aggregate.kind
+    if kind not in ("count_star", "count", "count_distinct"):
+        raise QueryError(
+            f"indexed evaluator supports count aggregates, not {kind!r}"
+        )
+    return kind
+
+
+def _value_counts(column: Sequence[Value], row_ids: AbstractSet[int]) -> Counter[Value]:
+    """Multiplicity of each non-null value of *column* over *row_ids*."""
+    values = (column[idx] for idx in row_ids)
+    return Counter(v for v in values if not is_null(v))

@@ -3,13 +3,15 @@
 import pytest
 
 from repro.core.intervention import (
+    FixpointStrategy,
     InterventionEngine,
     compute_intervention,
     is_closed,
     is_valid_intervention,
+    naive_fixpoint,
 )
 from repro.core.predicates import AtomicPredicate, DisjunctivePredicate, Explanation, parse_explanation
-from repro.datasets import chains
+from repro.datasets import chains, tpch
 from repro.datasets import running_example as rex
 from repro.engine.database import Delta
 from repro.errors import ConvergenceError
@@ -257,3 +259,98 @@ class TestUnreducedInput:
         assert rex.S1 in result.delta.rows_for("Authored")
         assert ("P9", 1999, "PODS") in result.delta.rows_for("Publication")
         assert is_valid_intervention(db, phi, result.delta)
+
+
+def outcome(result):
+    """What the counting engine must share with the naive schedule."""
+    return result.delta, result.iterations, result.trace
+
+
+class TestNaiveOracleEquivalence:
+    """The counting engine's layers are the naive schedule's iterations:
+    same Δ^φ, same ``iterations``, same per-rule trace."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 32])
+    def test_example_37_chain(self, p):
+        db, phi = chains.example_37(p)
+        engine = FixpointStrategy(db)
+        result = engine.compute(phi)
+        assert outcome(result) == outcome(naive_fixpoint(engine, phi))
+        assert result.iterations == chains.expected_iterations(p)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 32])
+    def test_single_back_and_forth_chain(self, p):
+        db, phi = chains.single_back_and_forth_chain(p)
+        engine = FixpointStrategy(db)
+        assert outcome(engine.compute(phi)) == outcome(naive_fixpoint(engine, phi))
+
+    def test_every_candidate_of_a_tpch_question(self):
+        """A cyclic schema: Rule (ii) also counts the residual edges."""
+        from repro.core.iterative import IndexedInterventionEvaluator
+
+        db = tpch.generate(sf=0.01, seed=1)
+        name = "promo-share"
+        evaluator = IndexedInterventionEvaluator(
+            db, tpch.question(name), tpch.question_attributes(name)
+        )
+        engine = FixpointStrategy(db, universal=evaluator.universal)
+        candidates = evaluator.candidate_assignments()
+        assert len(candidates) > 50
+        for assignment in candidates:
+            phi = Explanation.equality(db.schema, assignment)
+            seeds = evaluator.seeds_from_rows(evaluator.phi_row_ids(assignment))
+            assert outcome(engine.compute(phi, seeds=seeds)) == outcome(
+                naive_fixpoint(engine, phi, seeds=seeds)
+            ), assignment
+
+    def test_unreduced_cyclic_database_with_arbitrary_seeds(self):
+        """Dangling tuples and seeds that cascade across the TPC-H
+        cycle: the first layer's reduce and later ones must agree."""
+        import random
+
+        db = tpch.generate(sf=0.01, seed=2)
+        rng = random.Random(0)
+        for name, k in (("Partsupp", 5), ("Orders", 5), ("Supplier", 1)):
+            rel = db.relation(name)
+            rel.delete_many(rng.sample(sorted(rel.rows()), k))
+        engine = FixpointStrategy(db)
+        phi = Explanation(())
+        for _ in range(10):
+            parts = {
+                name: rng.sample(sorted(db.relation(name).rows()), rng.randint(0, 2))
+                for name in db.schema.relation_names
+            }
+            seeds = Delta(db.schema, parts)
+            result = engine.compute(phi, seeds=seeds)
+            assert outcome(result) == outcome(
+                naive_fixpoint(engine, phi, seeds=seeds)
+            )
+            assert result.iterations == 2  # dangling + seeds, then reduce
+
+    def test_budget_and_spans_match(self):
+        from repro.obs import get_tracer
+
+        db, phi = chains.example_37(3)
+        engine = FixpointStrategy(db)
+        with pytest.raises(ConvergenceError):
+            naive_fixpoint(engine, phi, max_iterations=2)
+        tracer = get_tracer()
+        spans = []
+        for run in (engine.compute, lambda f: naive_fixpoint(engine, f)):
+            tracer.reset()
+            tracer.enable()
+            try:
+                run(phi)
+            finally:
+                tracer.disable()
+            spans.append(
+                [
+                    (span.name, span.payload)
+                    for span in tracer.spans()
+                    if span.name.startswith("program_p")
+                ]
+            )
+        tracer.reset()
+        # One span per layer, the quiescent one included.
+        assert len(spans[0]) == 1 + chains.expected_iterations(3) + 1
+        assert spans[0] == spans[1]

@@ -74,16 +74,25 @@ class TestEquivalenceWithExact:
         for key in fast:
             assert fast[key] == pytest.approx(slow[key]), key
 
-    def test_matches_exact_on_dblp(self):
-        db = dblp.generate(scale=0.15, seed=8)
-        question = count_star_question()
-        attrs = ("Author.inst",)
-        indexed = IndexedInterventionEvaluator(db, question, attrs)
-        m_indexed = indexed.build_table()
-        explainer = Explainer(db, question, list(attrs))
+    @pytest.mark.parametrize(
+        "support_threshold, question, scale, seed",
+        [
+            pytest.param(None, count_star_question(), 0.15, 8, id="None"),
+            # Institutions below the threshold: indexed must drop the
+            # same candidates exact does.
+            pytest.param(10, dblp.bump_question(), 0.25, 4, id="10"),
+        ],
+    )
+    def test_matches_exact_on_dblp(self, support_threshold, question, scale, seed):
+        db = dblp.generate(scale=scale, seed=seed)
+        explainer = Explainer(
+            db, question, ["Author.inst"], support_threshold=support_threshold
+        )
+        m_indexed = explainer.explanation_table("indexed")
         m_exact = explainer.explanation_table("exact")
         fast = degree_map(m_indexed, MU_INTERV)
         slow = degree_map(m_exact, MU_INTERV)
+        assert set(fast) == set(slow)
         for key in fast:
             assert fast[key] == pytest.approx(slow[key]), key
 

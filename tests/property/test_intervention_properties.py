@@ -9,6 +9,9 @@ formal guarantees of Sections 2–3:
 * Δ^φ is *the minimum*: exhaustively, every valid Δ contains it
   (Theorem 3.3's uniqueness), checked on tiny instances;
 * iteration counts respect Propositions 3.4 and 3.5;
+* the counting engine computes the naive simultaneous schedule's Δ^φ,
+  iteration count and trace (the quarantined ``naive_fixpoint``
+  oracle), on reduced and unreduced populations and for any seeds;
 * μ degrees computed by the cube equal the ground truth on
   intervention-additive queries.
 """
@@ -24,7 +27,11 @@ from repro.core import (
     compute_intervention,
     is_valid_intervention,
 )
-from repro.core.intervention import InterventionEngine
+from repro.core.intervention import (
+    FixpointStrategy,
+    InterventionEngine,
+    naive_fixpoint,
+)
 from repro.datasets import running_example as rex
 from repro.engine.database import Database, Delta
 from repro.engine.reduction import semijoin_reduce
@@ -37,8 +44,12 @@ VENUES = ["SIGMOD", "VLDB"]
 
 
 @st.composite
-def small_databases(draw, max_authors=3, max_pubs=3, back_and_forth=True):
-    """A random, semijoin-reduced instance of the Example 2.2 schema."""
+def small_databases(
+    draw, max_authors=3, max_pubs=3, back_and_forth=True, reduced=True
+):
+    """A random instance of the Example 2.2 schema, semijoin-reduced
+    unless ``reduced=False`` (then authors and publications may
+    dangle)."""
     n_authors = draw(st.integers(1, max_authors))
     n_pubs = draw(st.integers(1, max_pubs))
     authors = [
@@ -62,8 +73,16 @@ def small_databases(draw, max_authors=3, max_pubs=3, back_and_forth=True):
         rex.schema(back_and_forth=back_and_forth),
         {"Author": authors, "Publication": pubs, "Authored": chosen},
     )
-    reduced, _ = semijoin_reduce(db)
-    return reduced
+    if not reduced:
+        return db
+    return semijoin_reduce(db)[0]
+
+
+def populations(reduced=True):
+    """:func:`small_databases` with either foreign-key flavour."""
+    return st.booleans().flatmap(
+        lambda bf: small_databases(back_and_forth=bf, reduced=reduced)
+    )
 
 
 @st.composite
@@ -174,7 +193,7 @@ class TestMinimality:
 
 class TestConvergence:
     @common_settings
-    @given(db=small_databases(), phi=explanations())
+    @given(db=populations(), phi=explanations())
     def test_proposition_34(self, db, phi):
         result = compute_intervention(db, phi)
         assert result.iterations <= db.total_rows() + 1
@@ -187,13 +206,50 @@ class TestConvergence:
         assert result.iterations <= 2
 
     @common_settings
-    @given(db=small_databases(), phi=explanations())
+    @given(
+        db=st.booleans().flatmap(lambda r: populations(reduced=r)),
+        phi=explanations(),
+    )
+    def test_matches_naive_fixpoint(self, db, phi):
+        """Counting layers are the naive schedule's iterations."""
+        engine = FixpointStrategy(db)
+        result = engine.compute(phi)
+        oracle = naive_fixpoint(engine, phi)
+        assert result.delta == oracle.delta
+        assert result.iterations == oracle.iterations
+        assert result.trace == oracle.trace
+
+    @common_settings
+    @given(db=populations(reduced=False), data=st.data())
+    def test_matches_naive_fixpoint_on_any_seeds(self, db, data):
+        """Equal for arbitrary Rule (i) seeds, not only φ's."""
+        parts = {
+            name: data.draw(
+                st.lists(st.sampled_from(sorted(db.relation(name).rows())), unique=True)
+                if len(db.relation(name))
+                else st.just([])
+            )
+            for name in db.schema.relation_names
+        }
+        seeds = Delta(db.schema, parts)
+        engine = FixpointStrategy(db)
+        phi = Explanation(())
+        result = engine.compute(phi, seeds=seeds)
+        oracle = naive_fixpoint(engine, phi, seeds=seeds)
+        assert (result.delta, result.iterations, result.trace) == (
+            oracle.delta,
+            oracle.iterations,
+            oracle.trace,
+        )
+
+    @common_settings
+    @given(db=populations(), phi=explanations())
     def test_idempotent_recompute(self, db, phi):
         engine = InterventionEngine(db)
         assert engine.compute(phi).delta == engine.compute(phi).delta
 
     @common_settings
-    @given(db=small_databases(), phi=explanations())
+    @given(db=populations(), phi=explanations())
     def test_trace_monotone(self, db, phi):
         result = compute_intervention(db, phi)
         sizes = [t.delta_size for t in result.trace]

@@ -35,19 +35,28 @@ TOP_LEVEL_MODULES: Set[str] = {"cli", "__main__", "__init__"}
 
 #: Slow reference implementations: importable only from their defining
 #: module and the parity tests that pin the fast paths against them.
-ORACLES: Set[str] = {"cube_rowwise", "cube_bruteforce", "group_by_rowwise"}
+ORACLES: Set[str] = {
+    "cube_rowwise",
+    "cube_bruteforce",
+    "group_by_rowwise",
+    "naive_fixpoint",
+}
 
 ORACLE_ALLOWLIST: Set[str] = {
     "src/repro/engine/cube.py",
     "src/repro/engine/groupby.py",
+    "src/repro/core/intervention.py",
     "tests/engine/test_cube.py",
     "tests/property/test_engine_properties.py",
     "tests/property/test_columnar_properties.py",
+    "tests/property/test_intervention_properties.py",
     "tests/core/test_cube_algorithm.py",
+    "tests/core/test_intervention.py",
     # The speedup benchmarks time the fast paths *against* the oracles;
     # like the parity tests, measuring them is what quarantine is for.
     "benchmarks/bench_columnar.py",
     "benchmarks/bench_example41_cube.py",
+    "benchmarks/bench_fig5_convergence.py",
 }
 
 # -- RL002: stdlib purity ----------------------------------------------------
