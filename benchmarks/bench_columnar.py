@@ -13,7 +13,10 @@ count aggregates over explanation attributes):
 * the intervention fixpoint (program P), whose Rule (i) now runs over
   zero-copy column slices, must still produce the identical Δ and
   iteration trace — timed for the JSON trajectory, not wall-clock
-  gated.
+  gated;
+* the selection kernel (``Table.selection``) must select exactly the
+  rows the row-wise ``Expression.evaluate`` accepts on the Q_Race and
+  Q_Marital WHERE predicates, and be **>= 3x** faster doing it.
 
 Run small (the CI smoke preset) with::
 
@@ -135,6 +138,55 @@ def test_columnar_group_by_speedup(preset, benchmark, json_record):
     benchmark.extra_info["speedup"] = speedup
     json_record("columnar_group_by", preset=preset, speedup=speedup)
     assert speedup >= 0.8, "columnar group-by regressed"
+
+
+def test_columnar_filter_speedup(preset, benchmark, json_record):
+    """Selection kernel vs row-wise evaluation of the WHERE predicates."""
+    db = natality.generate(rows=PRESET_ROWS[preset], seed=7)
+    u = universal_table(db)
+    wheres = [
+        q.where
+        for question in (
+            natality.q_race_question(),
+            natality.q_marital_question(),
+        )
+        for q in question.query.aggregates
+    ]
+
+    def kernel():
+        return [u.selection(w) for w in wheres]
+
+    def rowwise():
+        envs = list(u.iter_environments())
+        return [
+            [i for i, env in enumerate(envs) if w.evaluate(env)]
+            for w in wheres
+        ]
+
+    def measure():
+        t_kernel, fast = _best_of(kernel)
+        t_row, slow = _best_of(rowwise)
+        assert fast == slow
+        return t_kernel, t_row
+
+    t_kernel, t_row = benchmark.pedantic(measure, rounds=1, iterations=1)
+    speedup = t_row / t_kernel
+    print_series(
+        f"Selection kernel, natality {PRESET_ROWS[preset]} rows x "
+        f"{len(wheres)} WHERE predicates",
+        [("row-wise", t_row), ("kernel", t_kernel), ("speedup", speedup)],
+    )
+    benchmark.extra_info["speedup"] = speedup
+    json_record(
+        "columnar_filter",
+        preset=preset,
+        kernel_s=t_kernel,
+        rowwise_s=t_row,
+        speedup=speedup,
+    )
+    assert speedup >= 3.0, (
+        f"selection kernel only {speedup:.2f}x over row-wise evaluation"
+    )
 
 
 def test_fixpoint_unchanged_and_timed(preset, benchmark, json_record):

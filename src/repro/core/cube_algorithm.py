@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 
 from ..engine.aggregates import AggregateSpec
 from ..engine.cube import cube, dummy_rewrite
+from ..engine.groupby import scalar_aggregate
 from ..engine.joins import full_outer_join_many
 from ..engine.table import Table
 from ..engine.types import NULL, Row, Value, is_dummy, is_null
@@ -201,9 +202,18 @@ def build_explanation_table(
             report = _additivity_report(database, query, u, certificate)
             report.raise_if_not_additive()
 
-    # Step 1: u_j = q_j(D).
+    # Step 1: u_j = q_j(D), each over σ_{w_j}(U) — filtered once here
+    # and cubed as-is in Step 2.
+    sources: Dict[str, Table] = {}
+    for q in query.aggregates:
+        with phase("filter", aggregate=q.name, rows_in=len(u)) as filter_ph:
+            sources[q.name] = q.filtered(u)
+            filter_ph.annotate(rows_out=len(sources[q.name]))
     with phase("q_original", aggregates=len(query.aggregates)):
-        q_original = query.aggregate_values(u)
+        q_original = {
+            q.name: scalar_aggregate(sources[q.name], q.aggregate)
+            for q in query.aggregates
+        }
 
     # Step 2: one cube per aggregate query, over its filtered input.
     from ..engine import fastpath
@@ -213,6 +223,9 @@ def build_explanation_table(
     cubes: List[Table] = []
     value_columns: List[str] = []
     for q in query.aggregates:
+        # Popped, so a cubed input (and the columns its cube gathered)
+        # is released before the next aggregate's cube runs.
+        source = sources.pop(q.name)
         with phase("cube_aggregate", aggregate=q.name) as cube_ph:
             alias = f"v_{q.name}"
             value_columns.append(alias)
@@ -223,7 +236,6 @@ def build_explanation_table(
                 c = shard_session.cube(q.where, attributes, (spec,))
                 cube_ph.annotate(sharded=shard_session.shards)
             else:
-                source = q.filtered(u)
                 if cube_impl is not None:
                     chosen: CubeImpl = cube_impl
                 elif use_fastpath and fastpath.supports((spec,)):

@@ -152,8 +152,6 @@ class IndexedInterventionEvaluator:
     def _build_aggregate_indexes(self) -> None:
         """Per aggregate: its WHERE row-id set, its argument column and
         the multiplicity of each non-null argument value in that set."""
-        from ..engine.expressions import compile_predicate
-
         self.agg_rows: Dict[str, FrozenSet[int]] = {}
         self.agg_arg_col: Dict[str, Optional[List[Value]]] = {}
         self.agg_value_counts: Dict[str, Counter[Value]] = {}
@@ -161,21 +159,7 @@ class IndexedInterventionEvaluator:
             if q.where is None:
                 ids: FrozenSet[int] = frozenset(range(self._n))
             else:
-                needed = tuple(q.where.columns())
-                fn = compile_predicate(q.where, needed)
-                if not needed:
-                    ids = (
-                        frozenset(range(self._n))
-                        if fn(())
-                        else frozenset()
-                    )
-                else:
-                    cols = [self.universal.column(c) for c in needed]
-                    ids = frozenset(
-                        idx
-                        for idx, vals in enumerate(zip(*cols))
-                        if fn(vals)
-                    )
+                ids = frozenset(self.universal.selection(q.where))
             self.agg_rows[q.name] = ids
             if q.aggregate.argument is None:
                 self.agg_arg_col[q.name] = None

@@ -36,6 +36,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import Dict, List, Sequence, Set, Tuple
 
 from ..engine.types import Row, Value, is_dummy, is_missing, is_null, sort_key
@@ -241,26 +242,28 @@ def top_k_minimal_append(
     _check_minimality(minimality)
     rows, mu_pos, attr_pos = _eligible_rows(m, by)
     key = _rank_key(mu_pos, attr_pos, minimality)
-    remaining = list(rows)
+    # Each row's key is computed once; every round's max compares the
+    # same keys in the same order, so ties resolve as a fresh max would.
+    remaining = [(key(row), row) for row in rows]
     output: List[Row] = []
     for _ in range(k):
         if not remaining:
             break
-        best = max(remaining, key=key)
+        best = max(remaining, key=itemgetter(0))[1]
         output.append(best)
         sig = _pair_signature(best, attr_pos)
         if minimality == "general":
             remaining = [
-                row
-                for row in remaining
-                if not _matches_signature(row, sig)
+                pair
+                for pair in remaining
+                if not _matches_signature(pair[1], sig)
             ]
         else:
             sig_set = set(sig)
             remaining = [
-                row
-                for row in remaining
-                if not set(_pair_signature(row, attr_pos)) <= sig_set
+                pair
+                for pair in remaining
+                if not set(_pair_signature(pair[1], attr_pos)) <= sig_set
             ]
     return _package(m, output, by)
 

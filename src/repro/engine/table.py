@@ -15,7 +15,9 @@ caching each representation from the other on first demand.  The
 vectorized operators read columns; :meth:`Table.rows` remains the
 row-oriented escape hatch (and test oracle).  Filters, projections and
 semijoins are zero-copy: they share base column lists through
-selection vectors instead of rebuilding tuples.
+selection vectors instead of rebuilding tuples.  Every WHERE/φ probe
+in the engine goes through one column-at-a-time selection kernel,
+:meth:`Table.selection`.
 
 The public ``Table(columns, rows)`` constructor validates every row's
 arity, since it is the boundary where external data (CSV loads, SQL
@@ -27,6 +29,8 @@ engine values.
 
 from __future__ import annotations
 
+import operator
+from itertools import compress, repeat
 from typing import (
     Callable,
     Dict,
@@ -41,9 +45,19 @@ from typing import (
 
 from ..errors import QueryError
 from .columnstore import ColumnStore
-from .expressions import Environment, Expression
+from .expressions import (
+    _COMPARATORS,
+    And,
+    Col,
+    Comparison,
+    Const,
+    Environment,
+    Expression,
+    Not,
+    Or,
+)
 from .relation import Relation
-from .types import Row, Value, is_null, sort_key
+from .types import NULL, Row, Value, is_null, sort_key
 
 
 class Table:
@@ -243,31 +257,96 @@ class Table:
         return Table._trusted(self.columns, store=self.store().select(indices))
 
     def filter(self, predicate: Expression) -> "Table":
-        """Rows where *predicate* evaluates truthy.
+        """Rows where *predicate* evaluates truthy, as a zero-copy
+        selection over this table's columns (see :meth:`selection`)."""
+        return self.take(self.selection(predicate))
 
-        Predicates built from comparisons and boolean connectives are
-        compiled to positional accessors and evaluated over zipped
-        slices of only the referenced columns; the surviving rows are
-        returned as a zero-copy selection over this table's columns.
+    def selection(self, predicate: Expression) -> List[int]:
+        """Ascending positions of the rows where *predicate* is truthy.
+
+        The selection kernel behind every WHERE/φ probe.  It runs
+        column-at-a-time over only the referenced columns: conjuncts
+        are probed in order, each on the rows the earlier ones kept;
+        comparisons of a column with a constant or another column map
+        the SQL comparator over the column slices (a non-NULL ``Col =
+        Const`` is a single C-level ``operator.eq`` pass); ``Or`` and
+        ``Not`` are union and complement of selections.  Any other node
+        is evaluated row by row on the candidate rows only.  The
+        result equals ``[i for i, r in enumerate(rows) if
+        predicate.evaluate(env(r))]``.  Unknown columns raise
+        :class:`~repro.errors.QueryError`.
         """
-        needed = tuple(predicate.columns())
-        for col in needed:
+        for col in predicate.columns():
             self.position(col)  # raise early on unknown columns
-        from .expressions import compile_predicate
+        return list(self._select(predicate, range(len(self))))
 
-        fn = compile_predicate(predicate, needed)
+    def _select(self, node: Expression, candidates: Sequence[int]) -> Sequence[int]:
+        """The *candidates* (ascending positions) satisfying *node*.
+
+        ``range(len(self))`` — only ever passed at the top — stands for
+        every row, so the first probe reads whole columns.
+        """
+        if isinstance(node, And):
+            for operand in node.operands:
+                if not candidates:
+                    break
+                candidates = self._select(operand, candidates)
+            return candidates
+        if isinstance(node, Or):
+            hits: Set[int] = set()
+            rest = candidates
+            for operand in node.operands:
+                if not rest:
+                    break
+                hits.update(self._select(operand, rest))
+                rest = [i for i in rest if i not in hits]
+            return [i for i in candidates if i in hits]
+        if isinstance(node, Not):
+            drop = set(self._select(node.operand, candidates))
+            return [i for i in candidates if i not in drop]
+        if isinstance(node, Comparison):
+            left, right = node.left, node.right
+            fn = _COMPARATORS[node.op]
+            if isinstance(left, Col) and isinstance(right, Const):
+                if node.op == "=" and right.value is not NULL:
+                    # _Null and _Dummy compare by identity, so plain
+                    # equality against a non-NULL constant is sql_eq.
+                    fn = operator.eq
+                values = self._values(left.name, candidates)
+                mask = map(fn, values, repeat(right.value))
+            elif isinstance(left, Const) and isinstance(right, Col):
+                values = self._values(right.name, candidates)
+                mask = map(fn, repeat(left.value), values)
+            elif isinstance(left, Col) and isinstance(right, Col):
+                mask = map(
+                    fn,
+                    self._values(left.name, candidates),
+                    self._values(right.name, candidates),
+                )
+            else:
+                return self._select_rowwise(node, candidates)
+            return list(compress(candidates, mask))
+        return self._select_rowwise(node, candidates)
+
+    def _select_rowwise(
+        self, node: Expression, candidates: Sequence[int]
+    ) -> Sequence[int]:
+        """Fallback: evaluate *node* per candidate row (once if constant)."""
+        needed = node.columns()
         if not needed:
-            # Constant predicate: one evaluation decides all rows.
-            if fn(()):
-                return self
-            return Table._trusted(self.columns, store=self.store().select([]))
+            return candidates if node.evaluate({}) else []
         cols = [self.column(c) for c in needed]
-        if len(cols) == 1:
-            col = cols[0]
-            sel = [i for i, v in enumerate(col) if fn((v,))]
-        else:
-            sel = [i for i, vals in enumerate(zip(*cols)) if fn(vals)]
-        return Table._trusted(self.columns, store=self.store().select(sel))
+        return [
+            i
+            for i in candidates
+            if node.evaluate(dict(zip(needed, [col[i] for col in cols])))
+        ]
+
+    def _values(self, column: str, candidates: Sequence[int]) -> Iterable[Value]:
+        col = self.column(column)
+        if type(candidates) is range:  # every row
+            return col
+        return map(col.__getitem__, candidates)
 
     def filter_rows(self, fn: Callable[[Environment], bool]) -> "Table":
         """Rows where the Python callable *fn* (on the env dict) is true."""
@@ -397,8 +476,8 @@ class Table:
         if not pos:
             n = len(self)
             return {(): list(range(n))} if n else {}
-        cols = [self.store().column(i) for i in pos]
-        for i, key in enumerate(zip(*cols)):
+        key_cols = [self.store().column(i) for i in pos]
+        for i, key in enumerate(zip(*key_cols)):
             if any(is_null(v) for v in key):
                 continue
             index.setdefault(key, []).append(i)

@@ -228,3 +228,100 @@ class TestOptions:
         assert rows[2001] == (2, 0)
         # year=2011 appears only in the VLDB cube: v_qs filled with 0.
         assert rows[2011] == (0, 1)
+
+
+#: q_original and content fingerprints of table M, recorded from the
+#: two-pass Algorithm 1 (q_original filtered U once more through
+#: ``AggregateQuery.evaluate``).  Filtering once must not move them.
+FILTER_ONCE_GOLDEN = {
+    "natality-race": (
+        {"q1": 201, "q2": 2},
+        "2130cc51cf8d8fc91145ee791271a05631c7bc6a1627757832d817340092f37c",
+    ),
+    "natality-marital": (
+        {"q1": 1716, "q2": 28, "q3": 1213, "q4": 43},
+        "c11333c8fdf8fe94a68ae1170790b26b14ad5a67312a1b182002b91f2649ed66",
+    ),
+    "dblp-bump": (
+        {"q1": 37, "q2": 6, "q3": 26, "q4": 55},
+        "5075918eb172f523b6685830affee37fe4d87d7667d5d5df85cb522915077891",
+    ),
+    "tpch-europe-bump": (
+        {"q1": 186, "q2": 102, "q3": 85, "q4": 111},
+        "e696ce2534bc010c121ef3125e4a1a2e13ec3f7c4e205bede5cd206f1682bc4e",
+    ),
+}
+
+
+def _filter_once_case(name):
+    from repro.datasets import dblp, tpch
+
+    if name == "natality-race":
+        return (
+            natality.generate(rows=3000, seed=7),
+            natality.q_race_question(),
+            natality.default_attributes("race"),
+        )
+    if name == "natality-marital":
+        return (
+            natality.generate(rows=3000, seed=7),
+            natality.q_marital_question(),
+            natality.default_attributes("marital"),
+        )
+    if name == "dblp-bump":
+        return (
+            dblp.generate(scale=0.25, seed=2014),
+            dblp.bump_question(),
+            ["Author.inst", "Publication.venue"],
+        )
+    return (
+        tpch.generate(sf=0.01, seed=2014),
+        tpch.question("europe-bump"),
+        tpch.question_attributes("europe-bump"),
+    )
+
+
+class TestFilterOnce:
+    """The serial memory path filters σ_{w_j}(U) once per aggregate and
+    reuses it for both q_original and the cube."""
+
+    @pytest.mark.parametrize("name", sorted(FILTER_ONCE_GOLDEN))
+    def test_one_filter_per_aggregate_and_same_table(self, name, monkeypatch):
+        from repro.obs import get_tracer
+
+        db, question, attrs = _filter_once_case(name)
+        calls = {"filtered": 0, "evaluate": 0}
+        filtered = AggregateQuery.filtered
+
+        def spy_filtered(self, universal):
+            calls["filtered"] += 1
+            return filtered(self, universal)
+
+        def spy_evaluate(self, universal):
+            calls["evaluate"] += 1
+            raise AssertionError("Algorithm 1 must not re-filter U")
+
+        monkeypatch.setattr(AggregateQuery, "filtered", spy_filtered)
+        monkeypatch.setattr(AggregateQuery, "evaluate", spy_evaluate)
+        tracer = get_tracer()
+        tracer.reset()
+        tracer.enable()
+        try:
+            m = build_explanation_table(
+                db, question, attrs, check_additivity=False, shards=1
+            )
+        finally:
+            tracer.disable()
+        filter_spans = [s for s in tracer.spans() if s.name == "filter"]
+        tracer.reset()
+
+        aggregates = question.query.aggregates
+        assert calls == {"filtered": len(aggregates), "evaluate": 0}
+        assert [s.payload["aggregate"] for s in filter_spans] == [
+            q.name for q in aggregates
+        ]
+        for span in filter_spans:
+            assert span.payload["rows_out"] <= span.payload["rows_in"]
+        q_original, fingerprint = FILTER_ONCE_GOLDEN[name]
+        assert m.q_original == q_original
+        assert m.content_fingerprint() == fingerprint

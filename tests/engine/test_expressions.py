@@ -21,6 +21,7 @@ from repro.engine.expressions import (
     neg,
     row_environment,
 )
+from repro.engine.table import Table
 from repro.engine.types import NULL
 from repro.errors import QueryError
 
@@ -189,25 +190,34 @@ class TestBoolean:
 
 
 class TestCompilePredicate:
-    def _check(self, expr, columns, rows):
-        """Compiled result must equal interpreted result on every row."""
-        from repro.engine.expressions import compile_predicate
+    """Predicates run through the column-at-a-time selection kernel
+    (``Table.selection``) must select exactly the rows the interpreted
+    ``Expression.evaluate`` accepts."""
 
-        fn = compile_predicate(expr, columns)
-        for row in rows:
-            env = dict(zip(columns, row))
-            assert fn(row) == expr.evaluate(env), (expr, row)
+    def _check(self, expr, columns, rows):
+        table = Table(columns, rows)
+        expected = [
+            i
+            for i, row in enumerate(rows)
+            if expr.evaluate(dict(zip(columns, row)))
+        ]
+        assert table.selection(expr) == expected, expr
+        assert table.filter(expr).rows() == [rows[i] for i in expected]
 
     def test_simple_comparison(self):
         rows = [(1, "a"), (2, "b"), (NULL, "c")]
         self._check(Col("x").eq(1), ["x", "s"], rows)
         self._check(Col("x").ge(2), ["x", "s"], rows)
         self._check(Col("s").eq("b"), ["x", "s"], rows)
+        self._check(Col("x").eq(NULL), ["x", "s"], rows)
+        self._check(Col("x").ne(1), ["x", "s"], rows)
 
     def test_reversed_and_col_col(self):
         rows = [(1, 1), (1, 2), (3, 2)]
         self._check(Comparison("=", Const(1), Col("x")), ["x", "y"], rows)
+        self._check(Comparison("<", Const(1), Col("y")), ["x", "y"], rows)
         self._check(Comparison("<", Col("x"), Col("y")), ["x", "y"], rows)
+        self._check(Comparison("=", Col("x"), Col("y")), ["x", "y"], rows)
 
     def test_connectives(self):
         rows = [(1, "a"), (2, "b"), (2, "a")]
@@ -216,6 +226,7 @@ class TestCompilePredicate:
         expr = disj(Col("x").eq(1), Col("s").eq("b"))
         self._check(expr, ["x", "s"], rows)
         self._check(Not(Col("x").eq(2)), ["x", "s"], rows)
+        self._check(Not(And(())), ["x", "s"], rows)
         self._check(And(()), ["x", "s"], rows)
         self._check(Or(()), ["x", "s"], rows)
 
@@ -223,13 +234,13 @@ class TestCompilePredicate:
         rows = [(1, 2), (3, 1)]
         expr = Comparison("<", Col("x") + 1, Col("y"))
         self._check(expr, ["x", "y"], rows)
+        self._check(Comparison("<", Const(1), Const(2)), ["x", "y"], rows)
 
     def test_unknown_column_raises(self):
-        from repro.engine.expressions import compile_predicate
-
-        with pytest.raises(QueryError, match="unknown column"):
-            compile_predicate(Col("zzz").eq(1), ["x"])
-        with pytest.raises(QueryError, match="unknown column"):
-            compile_predicate(
-                Comparison("=", Const(1), Col("zzz")), ["x"]
-            )
+        table = Table(["x"], [(1,)])
+        with pytest.raises(QueryError, match="no column"):
+            table.selection(Col("zzz").eq(1))
+        with pytest.raises(QueryError, match="no column"):
+            table.selection(Comparison("=", Const(1), Col("zzz")))
+        with pytest.raises(QueryError, match="no column"):
+            table.filter(Or((Col("x").eq(1), Col("zzz").eq(1))))

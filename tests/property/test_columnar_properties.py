@@ -5,8 +5,12 @@ same tables as the retained row-at-a-time oracles (``cube_bruteforce``,
 ``cube_rowwise``, ``group_by_rowwise``) on arbitrary schemas and rows —
 including NULL measure values, duplicate rows, empty inputs, variable
 dimension counts, and every accumulator kind (the merge paths of the
-single-pass rollup are only exercised by non-count aggregates).
+single-pass rollup are only exercised by non-count aggregates).  The
+selection kernel (``Table.selection``) must select exactly the rows
+``Expression.evaluate`` accepts, for every predicate shape.
 """
+
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,9 +25,18 @@ from repro.engine.aggregates import (
     count_star,
 )
 from repro.engine.cube import cube, cube_bruteforce, cube_rowwise
+from repro.engine.expressions import (
+    COMPARISON_OPS,
+    And,
+    Col,
+    Comparison,
+    Const,
+    Not,
+    Or,
+)
 from repro.engine.groupby import group_by, group_by_rowwise
 from repro.engine.table import Table
-from repro.engine.types import NULL
+from repro.engine.types import DUMMY, NULL
 
 dim_values = st.one_of(st.integers(0, 3), st.sampled_from(["a", "b", "c"]))
 measure_values = st.one_of(st.integers(-5, 5), st.just(NULL))
@@ -115,3 +128,81 @@ class TestColumnarGroupByParity:
         t, _ = data
         aggs = all_kind_aggregates()
         assert group_by(t, [], aggs) == group_by_rowwise(t, [], aggs)
+
+
+# -- the selection kernel ---------------------------------------------------
+
+SELECTION_COLUMNS = ["a", "b", "c", "n"]
+any_values = st.one_of(
+    st.just(NULL),
+    st.just(DUMMY),
+    st.booleans(),
+    st.integers(-2, 2),
+    st.sampled_from([0.0, 1.0, 1.5, -2.5, math.inf, math.nan]),
+    st.sampled_from(["a", "b", "1"]),
+)
+# ``n`` stays numeric (or NULL) so an arithmetic operand over it never
+# raises: it is what drives the kernel's row-wise fallback.
+numeric_values = st.one_of(
+    st.just(NULL), st.booleans(), st.integers(-2, 2), st.just(0.5)
+)
+
+
+def selection_tables():
+    row = st.tuples(any_values, any_values, any_values, numeric_values)
+    return st.lists(row, max_size=30).map(
+        lambda rows: Table(SELECTION_COLUMNS, rows)
+    )
+
+
+def _comparisons():
+    op = st.sampled_from(COMPARISON_OPS)
+    col = st.sampled_from(["a", "b", "c"]).map(Col)
+    const = any_values.map(Const)
+    arith = st.sampled_from([Col("n") + 1, Col("n") * Col("n")])
+    return st.one_of(
+        st.builds(Comparison, op, col, const),  # Col op Const
+        st.builds(Comparison, op, const, col),  # Const on the left
+        st.builds(Comparison, op, col, col),  # Col-Col
+        st.builds(Comparison, op, arith, const),  # fallback path
+        st.builds(Comparison, op, const, const),  # constant predicate
+    )
+
+
+def predicates():
+    return st.recursive(
+        _comparisons(),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3).map(lambda ps: And(tuple(ps))),
+            st.lists(inner, max_size=3).map(lambda ps: Or(tuple(ps))),
+            inner.map(Not),
+        ),
+        max_leaves=6,
+    )
+
+
+class TestSelectionKernelParity:
+    @settings(max_examples=300)
+    @given(t=selection_tables(), p=predicates())
+    def test_selection_matches_rowwise_evaluate(self, t, p):
+        expected = [
+            i
+            for i, row in enumerate(t.rows())
+            if p.evaluate(dict(zip(t.columns, row)))
+        ]
+        assert t.selection(p) == expected
+        assert t.filter(p).rows() == [t.rows()[i] for i in expected]
+
+    @common
+    @given(t=selection_tables(), p=predicates())
+    def test_selection_on_a_selection(self, t, p):
+        # A filtered table is itself a selection vector over shared
+        # columns; the kernel must index through it correctly.
+        sub = t.take(range(0, len(t), 2))
+        expected = [
+            i
+            for i, row in enumerate(sub.rows())
+            if p.evaluate(dict(zip(sub.columns, row)))
+        ]
+        assert sub.selection(p) == expected
+

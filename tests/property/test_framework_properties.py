@@ -1,5 +1,7 @@
 """Property-based tests for the upper framework layers (hypothesis)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,13 +15,14 @@ from repro.core import (
 )
 from repro.core.cube_algorithm import MU_AGGR, MU_INTERV, ExplanationTable
 from repro.core.topk import (
+    _rank_key,
     top_k_minimal_append,
     top_k_minimal_self_join,
     top_k_no_minimal,
 )
 from repro.engine.aggregates import count_distinct
 from repro.engine.table import Table
-from repro.engine.types import DUMMY
+from repro.engine.types import DUMMY, NULL, is_missing
 from repro.engine.universal import universal_table
 
 from test_intervention_properties import explanations, small_databases
@@ -158,6 +161,71 @@ class TestTopKProperties:
         }
         assert general <= eligible
         assert specific <= eligible
+
+
+def awkward_m_tables():
+    """Explanation tables whose degrees tie, are infinite, NaN or NULL."""
+    value = st.one_of(st.sampled_from(["x", "y"]), st.just(DUMMY))
+    degree = st.sampled_from(
+        [0.0, 1.0, 1.0, 2.0, math.inf, -math.inf, math.nan, NULL]
+    )
+    row = st.tuples(value, value, value, degree)
+    return st.lists(
+        row, max_size=27, unique_by=lambda r: r[:3]
+    ).map(
+        lambda rows: ExplanationTable(
+            table=Table(
+                ["R.a", "R.b", "R.c", MU_INTERV],
+                [(a, b, c, mu) for a, b, c, mu in rows],
+            ),
+            attributes=("R.a", "R.b", "R.c"),
+            aggregate_names=("q",),
+            q_original={"q": 0},
+        )
+    )
+
+
+def minimal_append_reference(m, k, minimality):
+    """K rounds of ``max`` over the remaining rows, keys recomputed
+    every round — the literal Minimal-append of Section 4.3."""
+    mu_pos = m.table.position(MU_INTERV)
+    attr_pos = m.table.positions(m.attributes)
+    key = _rank_key(mu_pos, attr_pos, minimality)
+
+    def pairs(row):
+        return {(i, row[i]) for i in attr_pos if not is_missing(row[i])}
+
+    remaining = [
+        row
+        for row in m.table.rows()
+        if not is_missing(row[mu_pos]) and pairs(row)
+    ]
+    output = []
+    for _ in range(k):
+        if not remaining:
+            break
+        best = max(remaining, key=key)
+        output.append(best)
+        chosen = pairs(best)
+        if minimality == "general":
+            remaining = [r for r in remaining if not chosen <= pairs(r)]
+        else:
+            remaining = [r for r in remaining if not pairs(r) <= chosen]
+    return output
+
+
+class TestMinimalAppendRanksOnce:
+    @settings(max_examples=100)
+    @given(
+        m=awkward_m_tables(),
+        k=st.integers(1, 12),
+        minimality=st.sampled_from(["general", "specific"]),
+    )
+    def test_matches_fresh_key_reference(self, m, k, minimality):
+        got = top_k_minimal_append(m, k, minimality=minimality)
+        expected = minimal_append_reference(m, k, minimality)
+        # Rows are compared by identity first, so NaN degrees match.
+        assert [r.row for r in got] == expected
 
 
 class TestCubeVsExactProperty:
